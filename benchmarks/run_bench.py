@@ -18,7 +18,8 @@ this script, so later PRs have a perf trajectory to regress against:
 * the swap-randomisation walk: one full margin-preserving draw under the
   pure-Python int-bitset walk vs the vectorized packed ``uint64`` walk
   (``repro.data.swap``), plus the thread-executor scaling of Δ packed swap
-  draws (the walk's chunk kernels release the GIL);
+  draws (each executor task walks a block of draws in one pass, wide
+  enough for NumPy to release the GIL);
 * the null models end-to-end: ``fit`` + Procedure 2 under
   ``null_model="bernoulli"`` vs ``null_model="swap"`` on the numpy backend
   (reported as a cost *ratio* — it documents that Δ margin-preserving swap

@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "execution backend for the Monte-Carlo passes: serial, thread "
-            "(GIL-releasing packed kernels, no serialization), or process "
+            "(shared address space, no serialization), or process "
             "(zero-copy shared-memory workers); default: serial for "
             "--n-jobs 1, process otherwise — results are identical for "
             "every choice"

@@ -34,13 +34,16 @@ aggregated with ``np.union1d``/``np.searchsorted`` for *any* ``k``.  Set
 ``REPRO_BACKEND=python`` (or ``backend="python"``) to fall back to the
 pure-Python pipeline.  The Δ sample/mine tasks run on an executor from
 :mod:`repro.parallel.executors` — ``"serial"`` (default), ``"thread"``
-(shared address space; the packed kernels release the GIL), or ``"process"``
-(zero-copy workers: the null model's buffers live in shared memory, each
-draw ships only a token and its child generator).  Collection draws one
-spawned child generator per dataset on every backend, so results are
-deterministic per seed *and identical for every executor and* ``n_jobs``;
-pass a live :class:`repro.parallel.Executor` to reuse one pool across many
-estimators (as the halving loop of Algorithm 1 and the Engine do).
+(shared address space), or ``"process"`` (zero-copy workers: the null
+model's buffers live in shared memory, each task ships only a token and its
+child generators).  Null models that walk a block of draws in one pass (the
+swap null under the packed walk, on matrices small enough to stack) get a
+block of draws per task: the wider NumPy calls of a block are what let
+threads overlap swap draws.  Collection draws one spawned child generator
+per dataset on every backend, so results are deterministic per seed *and
+identical for every executor, block size and* ``n_jobs``; pass a live
+:class:`repro.parallel.Executor` to reuse one pool across many estimators
+(as the halving loop of Algorithm 1 and the Engine do).
 :meth:`MonteCarloNullEstimator.extend` grows the budget in place while
 keeping the already-collected draws as a strict prefix — the primitive the
 Δ-adaptive budgets are built on.
@@ -77,31 +80,52 @@ __all__ = ["MonteCarloNullEstimator", "analytic_lambda"]
 ESTIMATOR_STATE_VERSION = 2
 
 
-def _mine_one_null_sample(
+#: Most draws one executor task samples, for null models that walk a block
+#: of draws in one pass (``block_draws`` > 1: the swap null under the packed
+#: walk, on matrices small enough to stack).  Δ is split evenly into blocks
+#: of at most this many draws; the block size changes the wall-clock (wider
+#: NumPy calls that let threads overlap tasks), never a result.
+_MAX_DRAW_BLOCK = 6
+
+
+def _sample_packed_block(
+    model: NullModel, generators: tuple[np.random.Generator, ...]
+) -> list:
+    """One packed null dataset per generator (one pass for a block)."""
+    if len(generators) == 1:
+        return [model.sample_packed(generators[0])]
+    return model.sample_packed_block(generators)
+
+
+def _mine_null_samples(
     model: NullModel,
     k: int,
     mining_support: int,
     backend: str,
-    generator: np.random.Generator,
-) -> dict[Itemset, int]:
-    """Sample one null dataset and mine its k-itemsets.
+    generators: tuple[np.random.Generator, ...],
+) -> list[dict[Itemset, int]]:
+    """Sample one task's null datasets and mine their k-itemsets.
 
     Module-level so that ``n_jobs > 1`` can ship it to worker processes.
     """
     if backend == "numpy":
-        packed = model.sample_packed(generator)
-        return mine_k_itemsets(packed, k, mining_support)
-    dataset = model.sample(generator)
-    return mine_k_itemsets(dataset, k, mining_support, backend=backend)
+        return [
+            mine_k_itemsets(packed, k, mining_support)
+            for packed in _sample_packed_block(model, generators)
+        ]
+    return [
+        mine_k_itemsets(model.sample(generator), k, mining_support, backend=backend)
+        for generator in generators
+    ]
 
 
-def _kitemset_arrays_one_sample(
+def _kitemset_arrays_samples(
     model: NullModel,
     k: int,
     mining_support: int,
-    generator: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample one packed null dataset and return its frequent k-itemsets as arrays.
+    generators: tuple[np.random.Generator, ...],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sample one task's packed null datasets; their frequent k-itemsets as arrays.
 
     The itemsets are encoded as base-``n`` integer keys over positions into
     the model's sorted item universe (``n = model.num_items``), so the whole
@@ -111,9 +135,11 @@ def _kitemset_arrays_one_sample(
     """
     from repro.fim.bitmap import kitemset_supports_packed
 
-    packed = model.sample_packed(generator)
-    sets, counts = kitemset_supports_packed(packed, k, mining_support)
-    return _encode_positions(sets, model.num_items), counts
+    results = []
+    for packed in _sample_packed_block(model, generators):
+        sets, counts = kitemset_supports_packed(packed, k, mining_support)
+        results.append((_encode_positions(sets, model.num_items), counts))
+    return results
 
 
 def _encode_positions(sets: np.ndarray, num_items: int) -> np.ndarray:
@@ -278,25 +304,53 @@ class MonteCarloNullEstimator:
         finally:
             executor.close()
 
+    def _draw_block_size(self, count: int) -> int:
+        """Draws per executor task for a pass of ``count`` draws.
+
+        Null models that walk a block of packed draws in one pass get ``count``
+        split evenly into blocks of at most ``min(_MAX_DRAW_BLOCK,
+        model.block_draws)`` draws (the last one may be shorter); every other
+        model gets one draw per task.
+        """
+        limit = (
+            min(_MAX_DRAW_BLOCK, getattr(self.model, "block_draws", 1))
+            if self.backend == "numpy"
+            else 1
+        )
+        if limit <= 1 or count <= 1:
+            return 1
+        num_blocks = -(-count // limit)
+        return -(-count // num_blocks)
+
     def _iter_samples(self, worker, args: tuple, count: Optional[int] = None) -> Iterator:
-        """Yield ``worker(model, *args, generator)`` for ``count`` datasets.
+        """Yield the per-dataset results of ``worker`` for ``count`` datasets.
 
         Every dataset gets its own spawned child generator, drawn from the
-        estimator's RNG in one batch up front; the configured executor then
-        runs the workers (in-process, threads, or zero-copy worker
-        processes) and results are consumed in submission order.  All
-        backends therefore produce *identical* results for the same seed —
-        the executor and ``n_jobs`` only change the wall-clock, never the
+        estimator's RNG in one batch up front.  Consecutive children are
+        grouped into blocks (:meth:`_draw_block_size`), the configured
+        executor runs ``worker(model, *args, block)`` once per block
+        (in-process, threads, or zero-copy worker processes), and the
+        per-dataset results are yielded in draw order.  A block's draws are
+        bit-identical to the same draws sampled one by one, so all backends
+        and block sizes produce *identical* results for the same seed — the
+        executor and ``n_jobs`` only change the wall-clock, never the
         statistics.  Because the children are spawned incrementally from one
         generator, draws ``0..Δ₀`` of any collection are a strict prefix of
         draws ``0..Δ`` of a larger one (the property :meth:`extend` and the
-        Δ-adaptive budgets rely on).
+        Δ-adaptive budgets rely on).  Retries, cancellation polls and
+        degraded prefixes act on whole blocks.
         """
-        child_rngs = self._rng.spawn(self.num_datasets if count is None else count)
+        count = self.num_datasets if count is None else count
+        child_rngs = self._rng.spawn(count)
+        size = self._draw_block_size(count)
+        blocks = [
+            tuple(child_rngs[start : start + size]) for start in range(0, count, size)
+        ]
         with self._executor_scope() as executor:
-            yield from executor.map_draws(
-                worker, self.model, args, child_rngs, cancel=self._cancel
-            )
+            for results in executor.map_draws(
+                worker, self.model, args, blocks, cancel=self._cancel
+            ):
+                yield from results
 
     def _degrade_collection(self, collected: int, error) -> None:
         """Graceful degradation: keep the strict prefix a failing pass built.
@@ -319,7 +373,7 @@ class MonteCarloNullEstimator:
     def _iter_mined(self, count: Optional[int] = None) -> Iterator[dict[Itemset, int]]:
         """Yield the mined k-itemset dict of each of the Δ null datasets."""
         return self._iter_samples(
-            _mine_one_null_sample,
+            _mine_null_samples,
             (self.k, self.mining_support, self.backend),
             count=count,
         )
@@ -348,7 +402,7 @@ class MonteCarloNullEstimator:
         union_keys = np.empty(0, dtype=np.int64)
         try:
             for keys, counts in self._iter_samples(
-                _kitemset_arrays_one_sample, (self.k, self.mining_support)
+                _kitemset_arrays_samples, (self.k, self.mining_support)
             ):
                 key_arrays.append(keys)
                 count_arrays.append(counts)
@@ -520,7 +574,7 @@ class MonteCarloNullEstimator:
         degraded = False
         try:
             for keys, counts in self._iter_samples(
-                _kitemset_arrays_one_sample,
+                _kitemset_arrays_samples,
                 (self.k, self.mining_support),
                 count=additional,
             ):

@@ -44,7 +44,14 @@ Monte-Carlo budget Δ.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol, Union, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Optional,
+    Protocol,
+    Sequence,
+    Union,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -52,10 +59,12 @@ from repro.data.dataset import TransactionDataset
 from repro.data.random_model import RandomDatasetModel
 from repro.data.swap import (
     WALK_VERSIONS,
+    chains_per_pass,
     resolve_walk,
     transaction_bitsets,
     walk_to_packed,
     walk_to_transactions,
+    walks_to_packed,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
@@ -376,6 +385,42 @@ class SwapRandomizationNull:
             generator,
             name=self._name,
             walk=self.walk,
+        )
+
+    @property
+    def block_draws(self) -> int:
+        """Most draws :meth:`sample_packed_block` walks to advantage in one pass.
+
+        Under the packed walk, :func:`~repro.data.swap.chains_per_pass` of the
+        observed matrix: small matrices, whose single chains walk narrow
+        rounds, get blocks; large ones already walk wide rounds and get 1.
+        The python walk gains nothing from blocks: 1.  The Monte-Carlo
+        estimator hands each executor task a block of at most this many
+        draws.
+        """
+        if self.walk != "packed":
+            return 1
+        return chains_per_pass(self._walk_base())
+
+    def sample_packed_block(
+        self, rngs: Sequence[np.random.Generator]
+    ) -> list["PackedIndex"]:
+        """One swap-randomised copy per generator, in packed-bitmap form.
+
+        Draw ``i`` is bit-identical to ``sample_packed(rngs[i])``.  Under the
+        packed walk the block's chains are walked together in one pass
+        (:func:`~repro.data.swap.walks_to_packed`), whose wider NumPy calls
+        let threads overlap blocks of draws.
+        """
+        if self.walk != "packed":
+            return [self.sample_packed(rng) for rng in rngs]
+        return walks_to_packed(
+            self._walk_base(),
+            self._items,
+            self._num_transactions,
+            self._effective_num_swaps,
+            rngs,
+            name=self._name,
         )
 
     def __repr__(self) -> str:

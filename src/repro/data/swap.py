@@ -36,9 +36,16 @@ point, the ``REPRO_SWAP_WALK`` environment variable (``packed`` or
   same chunk is applied in one shot, and the remainder is re-screened
   against the updated matrix.  The executed chain is therefore *exactly*
   the sequential chain over the same proposal stream — chunking changes the
-  wall-clock, never the statistics — and the heavy kernels release the GIL,
-  which is what lets the ``thread`` executor of :mod:`repro.parallel`
-  genuinely parallelize Δ swap draws.
+  wall-clock, never the statistics.  One pass walks a *block* of
+  independent chains (:func:`walks_to_packed`; a single draw is the
+  one-chain block): the chains' proposals are interleaved over a stacked
+  copy of the matrix, so each round decides proposals of every chain and
+  its NumPy calls run on arrays the block size times wider.  That width is
+  what lets the ``thread`` executor of :mod:`repro.parallel` overlap swap
+  draws: one chain's rounds decide only a few hundred proposals each, where
+  Python dispatch holds the GIL and NumPy releases it only for loops over
+  about 500 elements, so :class:`~repro.core.lambda_estimation.MonteCarloNullEstimator`
+  hands each executor task a block of draws.
 * ``python`` — :func:`_run_swap_walk`: the original walk over
   arbitrary-precision ``int`` bitsets, kept as the reference implementation
   and for hosts where NumPy is a liability.
@@ -58,6 +65,11 @@ Two entry points share the walk:
   :class:`~repro.core.null_models.SwapRandomizationNull` feed the vectorized
   NumPy counting kernels with Δ margin-preserving datasets at the same
   per-dataset cost as the Bernoulli null.
+
+Walking a block changes no draw: each chain consumes its own generator
+exactly as a single walk would, so chain ``i`` of a block is bit-identical
+to a one-chain walk on the same generator, and the ``packed-v1`` stream
+holds for every block size.
 
 The paper notes that its technique "could conceivably be adapted" to this
 model; :mod:`repro.core.null_models` provides exactly that adaptation for
@@ -86,6 +98,7 @@ __all__ = [
     "walk_to_packed",
     "walk_to_transactions",
     "walk_version",
+    "walks_to_packed",
 ]
 
 #: Environment variable overriding the default swap-walk implementation.
@@ -206,6 +219,23 @@ del _byte
 _MIN_CHUNK = 32
 _MAX_CHUNK = 65536
 
+#: Byte budget of the stacked matrix of one packed pass (about a per-core L2
+#: cache).  A block of chains pays only while one chain's rounds are narrow,
+#: which is on small matrices; past the cache, every round's row gathers
+#: slow down.  Measured serially on a 2 MiB-L2 Xeon: six stacked copies of
+#: the 1.9 MB bms1@0.5 matrix cost ~45% more per chain than one, six of
+#: the 0.3 MB bms1 matrix ~12% less.
+_BLOCK_BYTES = 2 << 20
+
+
+def chains_per_pass(matrix: np.ndarray) -> int:
+    """Most chains one pass of the packed walk should walk over ``matrix``.
+
+    As many stacked copies as fit in :data:`_BLOCK_BYTES`, at least one.
+    Like the chunk bounds, this changes the wall-clock, never a draw.
+    """
+    return max(1, _BLOCK_BYTES // max(matrix.nbytes, 1))
+
 
 def _word_bytes(words: np.ndarray) -> np.ndarray:
     """View a 1-D ``uint64`` array as its ``(M, 8)`` little-endian bytes."""
@@ -226,17 +256,44 @@ _BYTE_POPCOUNT_LOCAL = np.array(
 _BIT_MASKS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
-def _select_set_bits(bitrows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+def _rank_in_columns(
+    counts: np.ndarray, ranks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which column holds each rank, and the rank rebased into that column.
+
+    ``counts`` is ``(C, M)``: set bits in column ``c`` (a word, or a byte) of
+    row ``i``; ``0 <= ranks[i] < counts[:, i].sum()``.  The chosen column is
+    the number of columns whose inclusive prefix count is still ``<= rank``,
+    and the exclusive prefix there rebases the rank.  The prefix is built
+    by ``C - 1`` full-width adds over contiguous ``(M,)`` rows (``np.cumsum``
+    along axis 0 runs its inner loop along the short axis and costs more);
+    everything else is one whole-batch op.
+    """
+    columns, size = counts.shape
+    before = np.empty_like(counts)  # before[c] = counts[:c].sum(axis=0)
+    before[0] = 0
+    for column in range(1, columns):
+        np.add(before[column - 1], counts[column - 1], out=before[column])
+    index = (before[1:] <= ranks).sum(axis=0)
+    return index, ranks - before.ravel().take(index * size + np.arange(size))
+
+
+def _select_set_bits(
+    bitrows: np.ndarray,
+    ranks: np.ndarray,
+    word_counts: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Bit position of the ``ranks[i]``-th set bit of each packed row.
 
     ``bitrows`` is ``(M, W)`` ``uint64``; ``ranks`` is ``(M,)`` with
     ``0 <= ranks[i] < popcount(bitrows[i])``.  Ranks count set bits lowest
-    first, exactly like the python walk's :func:`_nth_set_bit`.  The scan
-    runs column-wise — a short Python loop over the ``W`` words (then the 8
-    bytes of the chosen word), each step a full-width vectorized op — because
-    the batches are wide and shallow: ``(M, W)`` reductions along the tiny
-    axis 1 cost several times more in NumPy than ``W`` passes over
-    contiguous ``(M,)`` columns.
+    first, exactly like the python walk's :func:`_nth_set_bit`.  The word
+    and then the byte holding the rank are found by prefix scans over the
+    transposed ``(W, M)`` / ``(8, M)`` count layouts
+    (:func:`_rank_in_columns`) — the batches are wide and shallow, so
+    whole-batch ops along contiguous rows beat ``(M, W)`` reductions along
+    the tiny axis 1.  ``word_counts`` is the ``(W, M)`` popcount of
+    ``bitrows.T`` when the caller has it already.
     """
     from repro.fim.bitmap import popcount_words
 
@@ -247,66 +304,42 @@ def _select_set_bits(bitrows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         rank_in_word = ranks
         words = bitrows[:, 0]
     else:
-        # (W, M) layout with contiguous rows so each scan step is one
-        # full-width vectorized op over a contiguous column of the batch.
-        word_counts = popcount_words(bitrows.T)
-        # Column scan: word_index counts the words whose inclusive prefix
-        # popcount is still <= rank; `before` tracks that prefix so the rank
-        # can be rebased into the chosen word without storing the cumsums.
-        word_index = np.zeros(count, dtype=np.int64)
-        before = np.zeros(count, dtype=np.int64)
-        running = np.zeros(count, dtype=np.int64)
-        for word in range(num_words - 1):
-            running += word_counts[word]
-            beyond = running <= ranks
-            word_index += beyond
-            before = np.where(beyond, running, before)
-        rank_in_word = ranks - before
-        words = bitrows.ravel()[row_offsets * num_words + word_index]
+        if word_counts is None:
+            word_counts = popcount_words(np.ascontiguousarray(bitrows.T))
+        word_index, rank_in_word = _rank_in_columns(word_counts, ranks)
+        words = bitrows.ravel().take(row_offsets * num_words + word_index)
     max_rank = int(rank_in_word.max()) if count else 0
     if max_rank <= 8:
         # Typical sparse-data case: ranks are tiny, so clearing the lowest
         # set bit `rank` times and isolating the survivor is cheaper than a
-        # byte scan.  ``log2`` is exact on powers of two up to 2**63.
+        # byte scan (rows past their rank subtract 0: a no-op).  ``log2`` is
+        # exact on powers of two up to 2**63.
         remaining = words.copy()
-        if max_rank:
-            pending_rank = rank_in_word.copy()
-            for _ in range(max_rank):
-                active = pending_rank > 0
-                remaining = np.where(
-                    active, remaining & (remaining - np.uint64(1)), remaining
-                )
-                pending_rank -= active
+        for step in range(max_rank):
+            remaining &= remaining - (rank_in_word > step)
         isolated = remaining & (np.uint64(0) - remaining)
         bit_in_word = np.log2(isolated.astype(np.float64)).astype(np.int64)
         return word_index * 64 + bit_in_word
     word_bytes = _word_bytes(words)
-    byte_counts = _BYTE_POPCOUNT_LOCAL[word_bytes.T]  # (8, M), rows contiguous
-    byte_index = np.zeros(count, dtype=np.int64)
-    byte_before = np.zeros(count, dtype=np.int64)
-    running = np.zeros(count, dtype=np.int64)
-    for byte in range(7):
-        running += byte_counts[byte]
-        beyond = running <= rank_in_word
-        byte_index += beyond
-        byte_before = np.where(beyond, running, byte_before)
-    rank_in_byte = rank_in_word - byte_before
+    byte_index, rank_in_byte = _rank_in_columns(
+        _BYTE_POPCOUNT_LOCAL[word_bytes.T], rank_in_word  # (8, M) counts
+    )
     byte_values = word_bytes.ravel()[row_offsets * 8 + byte_index]
     bit = _SELECT_LUT[byte_values, rank_in_byte].astype(np.int64)
     return word_index * 64 + byte_index * 8 + bit
 
 
-def _first_toucher_mask(
-    uu: np.ndarray, vv: np.ndarray, num_transactions: int
-) -> np.ndarray:
+def _first_toucher_mask(pairs: np.ndarray, num_transactions: int) -> np.ndarray:
     """Which proposals of a round are safe to decide from one screening.
 
+    ``pairs`` holds the ``(u, v)`` rows of the round's proposals, in order.
     A proposal's precomputed screening (and item selection) is valid iff
     neither of its transactions can have been modified by an earlier
     proposal of the same round — pessimistically, iff the proposal is the
-    *first* to touch both of its rows (self-pairs ``u == v`` never modify
-    anything and are always decidable).  Everything else is deferred, in
-    order, and re-screened against the updated matrix next round.
+    *first* to touch both of its rows (a self-pair ``u == v`` counts as
+    touching its row, though it never modifies it: deferring behind it is
+    merely cautious).  Everything else is deferred, in order, and
+    re-screened against the updated matrix next round.
 
     This keeps the executed chain exactly sequential: decided proposals see
     their rows in the sequential state (nothing earlier touched them), the
@@ -315,19 +348,12 @@ def _first_toucher_mask(
     (disjoint rows again), so re-screening the deferred suffix later yields
     the same matrices the one-at-a-time chain would have produced.
     """
-    size = uu.size
+    size = len(pairs)
     positions = np.arange(size, dtype=np.int64)
-    self_pair = uu == vv
-    real = np.flatnonzero(~self_pair)
     first_touch = np.full(num_transactions, size, dtype=np.int64)
-    np.minimum.at(
-        first_touch,
-        np.concatenate((uu[real], vv[real])),
-        np.concatenate((positions[real], positions[real])),
-    )
-    return self_pair | (
-        (first_touch[uu] >= positions) & (first_touch[vv] >= positions)
-    )
+    np.minimum.at(first_touch, pairs.ravel(), positions.repeat(2))
+    touched = first_touch.take(pairs)
+    return np.minimum(touched[:, 0], touched[:, 1]) >= positions
 
 
 def _run_swap_walk_packed(
@@ -335,12 +361,36 @@ def _run_swap_walk_packed(
 ) -> np.ndarray:
     """Run the swap walk on a copy of the packed matrix and return the copy.
 
+    The one-chain case of :func:`_run_swap_walks_packed`.
+    """
+    return _run_swap_walks_packed(matrix, num_swaps, (generator,))[0]
+
+
+def _run_swap_walks_packed(
+    matrix: np.ndarray,
+    num_swaps: int,
+    generators: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Run one independent swap walk per generator in a single round loop.
+
     ``matrix`` is the ``(num_transactions, ceil(num_items/64))`` ``uint64``
     transaction-major bit matrix (:func:`~repro.fim.bitmap.pack_int_bitsets`
-    layout).  The random stream is three bulk draws — the ``u`` picks, the
-    ``v`` picks, and one ``(num_swaps, 2)`` block of 64-bit integers for the
-    item-rank selection — so the RNG consumption is a fixed function of
-    ``num_swaps`` and the result is independent of chunking and replay.
+    layout).  Returns the ``(len(generators),) + matrix.shape`` stack of
+    walked copies, chain ``c`` at index ``c``.
+
+    Each chain's random stream is three bulk draws from its own generator —
+    the ``u`` picks, the ``v`` picks, and one ``(num_swaps, 2)`` block of
+    64-bit integers for the item-rank selection — so the RNG consumption is
+    a fixed function of ``num_swaps``.  The observed matrix is stacked once
+    per chain, each chain's picks are offset to its own row block, and the
+    chains' proposals are interleaved into one sequence.  Chains touch
+    disjoint rows, so the first-toucher replay of that sequence runs each
+    chain's own sequential chain: every chain's result is independent of
+    chunking, replay and the other chains of the block, and walking B chains
+    together gives, chain for chain, the matrices of B single-chain walks.
+    What the block buys is width: every round decides proposals of all B
+    chains, so its NumPy calls work on B times more elements for the same
+    Python dispatch.
 
     Item ranks are ``draw mod count`` of a uniform 64-bit integer: exact
     integer arithmetic (no ``float * count`` rounding cliff at word
@@ -349,16 +399,33 @@ def _run_swap_walk_packed(
     """
     from repro.fim.bitmap import popcount_rows, popcount_words
 
-    matrix = np.array(matrix, dtype=np.uint64, copy=True, order="C")
-    num_transactions = matrix.shape[0]
-    eligible = np.flatnonzero(popcount_rows(matrix) > 0)
+    base = np.ascontiguousarray(matrix, dtype=np.uint64)
+    num_chains = len(generators)
+    chain_rows, num_words = base.shape
+    walked_shape = (num_chains,) + base.shape
+    matrix = np.tile(base, (num_chains, 1))  # chain `c` owns rows c*t..(c+1)*t
+    eligible = np.flatnonzero(popcount_rows(base) > 0)
     if eligible.size < 2 or num_swaps <= 0:
-        return matrix
-    u_all = eligible[generator.integers(0, eligible.size, size=num_swaps)]
-    v_all = eligible[generator.integers(0, eligible.size, size=num_swaps)]
-    rank_draws = generator.integers(
-        0, 2**64, size=(num_swaps, 2), dtype=np.uint64
-    )
+        return matrix.reshape(walked_shape)
+    num_transactions = matrix.shape[0]
+    words = matrix.reshape(-1)  # flat view: word `w` of row `r` at `r * W + w`
+    # Proposal `j` of chain `c` sits at global index `j * num_chains + c`:
+    # `pairs` holds its (u, v) rows, offset into chain `c`'s block of the
+    # stacked matrix, and `rank_draws` its two item-rank variates.
+    pairs = np.empty((num_swaps, num_chains, 2), dtype=np.int64)
+    rank_draws = np.empty((num_swaps, num_chains, 2), dtype=np.uint64)
+    for chain, generator in enumerate(generators):
+        rows = eligible + chain * chain_rows
+        for side in (0, 1):  # the u picks, then the v picks
+            pairs[:, chain, side] = rows[
+                generator.integers(0, eligible.size, size=num_swaps)
+            ]
+        rank_draws[:, chain] = generator.integers(
+            0, 2**64, size=(num_swaps, 2), dtype=np.uint64
+        )
+    pairs = pairs.reshape(-1, 2)
+    rank_draws = rank_draws.reshape(-1, 2)
+    num_proposals = len(pairs)
 
     # Global proposal order is preserved across rounds: the deferred indices
     # of earlier rounds (all smaller than any fresh index) lead each round's
@@ -366,8 +433,8 @@ def _run_swap_walk_packed(
     pending = np.empty(0, dtype=np.int64)
     next_fresh = 0
     chunk = _MIN_CHUNK
-    while pending.size or next_fresh < num_swaps:
-        take = min(num_swaps - next_fresh, max(chunk - pending.size, 0))
+    while pending.size or next_fresh < num_proposals:
+        take = min(num_proposals - next_fresh, max(chunk - pending.size, 0))
         indices = np.concatenate(
             (pending, np.arange(next_fresh, next_fresh + take, dtype=np.int64))
         )
@@ -375,51 +442,47 @@ def _run_swap_walk_packed(
         # Decidability is a pure function of the proposal rows, so the matrix
         # is only ever gathered and screened for decidable proposals —
         # deferred ones wait unscreened for the next round.
-        decidable = _first_toucher_mask(
-            u_all[indices], v_all[indices], num_transactions
-        )
-        decided_indices = indices[decidable]
-        uu = u_all[decided_indices]
-        vv = v_all[decided_indices]
-        half = uu.size
-        rows_uv = matrix[np.concatenate((uu, vv))]
-        rows_vu = np.concatenate((rows_uv[half:], rows_uv[:half]))
-        np.invert(rows_vu, out=rows_vu)
-        only = rows_uv & rows_vu
-        # Popcount via the transposed layout: the axis-0 reduction over
-        # (W, 2·half) runs along contiguous memory, unlike an axis-1 sum.
-        counts = popcount_words(only.T).sum(axis=0)
-        count_u = counts[:half]
-        count_v = counts[half:]
-        selected = np.flatnonzero((uu != vv) & (count_u > 0) & (count_v > 0))
-        if selected.size:
-            both = np.concatenate((selected, selected + half))
-            draws = rank_draws[decided_indices[selected]]
-            ranks = (draws.T.ravel() % counts[both].astype(np.uint64)).astype(
-                np.int64
-            )
-            positions = _select_set_bits(only[both], ranks)
-            a_pos = positions[: selected.size]
-            b_pos = positions[selected.size :]
-            rows_u = uu[selected]
-            rows_v = vv[selected]
-            a_word = a_pos >> 6
-            b_word = b_pos >> 6
-            a_mask = _BIT_MASKS[a_pos & 63]
-            b_mask = _BIT_MASKS[b_pos & 63]
-            # Accepted first-toucher rows are pairwise distinct, so each
-            # (row, word) index pair below is unique within its statement:
-            # the in-place fancy-indexed updates are alias-free.
-            matrix[rows_u, a_word] ^= a_mask  # a leaves u ...
-            matrix[rows_u, b_word] |= b_mask  # ... and b arrives
-            matrix[rows_v, b_word] ^= b_mask  # b leaves v ...
-            matrix[rows_v, a_word] |= a_mask  # ... and a arrives
+        batch = pairs.take(indices, axis=0)
+        decidable = _first_toucher_mask(batch, num_transactions)
         pending = indices[~decidable]
+        decided_indices = indices[decidable]
+        decided = batch[decidable]  # (half, 2): the rows of each proposal
+        half = len(decided)
+        # Rows gathered pairwise (u0, v0, u1, v1, ...) with `take` (about
+        # twice as fast as fancy indexing here, and GIL-free); reversing
+        # each pair screens both directions in one AND-NOT:
+        # `only[i] = (row_u & ~row_v, row_v & ~row_u)`.
+        rows = matrix.take(decided.ravel(), axis=0).reshape(half, 2, num_words)
+        only = (rows & ~rows[:, ::-1]).reshape(2 * half, num_words)
+        # Popcount in the transposed (W, 2·half) layout, made contiguous:
+        # the axis-0 reduction then runs along contiguous memory, and the
+        # per-word counts feed the item selection below.
+        word_counts = popcount_words(np.ascontiguousarray(only.T))
+        counts = word_counts.sum(axis=0)
+        # A self-pair's `only_u = row_u & ~row_u` is empty: never selected.
+        selected = (np.minimum(counts[0::2], counts[1::2]) > 0).nonzero()[0]
+        if selected.size:
+            sides = (2 * selected[:, None] + (0, 1)).ravel()  # u, v of each
+            draws = rank_draws.take(decided_indices[selected], axis=0).ravel()
+            ranks = (draws % counts[sides].astype(np.uint64)).astype(np.int64)
+            positions = _select_set_bits(
+                only.take(sides, axis=0), ranks, word_counts.take(sides, axis=1)
+            )
+            # Each accepted row gives up its own chosen item and receives
+            # its partner's: a leaves u and arrives in v, b the other way.
+            # Accepted first-toucher rows are pairwise distinct, so every
+            # flat word index below is unique within its statement: the
+            # in-place fancy-indexed updates are alias-free.
+            offsets = decided[selected] * num_words  # (accepted, 2)
+            chosen = positions >> 6
+            masks = _BIT_MASKS[positions & 63]
+            words[offsets.ravel() + chosen] ^= masks  # leave
+            words[offsets[:, ::-1].ravel() + chosen] |= masks  # arrive
         # Track the measured per-round throughput: grow while rounds decide
         # most of what they admit, shrink when deferrals dominate (tiny or
         # near-complete matrices), bounded so memory stays predictable.
         chunk = min(_MAX_CHUNK, max(_MIN_CHUNK, 2 * half))
-    return matrix
+    return matrix.reshape(walked_shape)
 
 
 def _as_walk_matrix(base_rows: WalkRows, num_items: int) -> np.ndarray:
@@ -600,17 +663,12 @@ def walk_to_packed(
     directly so shared-memory workers can draw without the original
     :class:`~repro.data.dataset.TransactionDataset`.
     """
-    from repro.fim.bitmap import PackedIndex, pack_bool_columns, unpack_rows_bool
+    from repro.fim.bitmap import PackedIndex
 
     if resolve_walk(walk) == "packed":
-        matrix = _run_swap_walk_packed(
-            _as_walk_matrix(base_rows, len(items)), num_swaps, generator
-        )
-        # Vectorized bit-matrix transpose: transaction-major words -> bool
-        # incidence -> item-major vertical bitsets.
-        bools = unpack_rows_bool(matrix, len(items))
-        rows = pack_bool_columns(bools)
-        return PackedIndex(rows, items, num_transactions, name=name)
+        return walks_to_packed(
+            base_rows, items, num_transactions, num_swaps, (generator,), name=name
+        )[0]
 
     int_rows = _run_swap_walk(_as_walk_bitsets(base_rows), num_swaps, generator)
 
@@ -629,6 +687,40 @@ def walk_to_packed(
         items=items,
         name=name,
     )
+
+
+def walks_to_packed(
+    base_rows: WalkRows,
+    items: tuple[int, ...],
+    num_transactions: int,
+    num_swaps: int,
+    generators: Sequence[np.random.Generator],
+    name: Optional[str] = None,
+) -> list["PackedIndex"]:
+    """Walk one packed chain per generator in a single pass (the draw block).
+
+    Returns one :class:`PackedIndex` per generator, in order; index ``i`` is
+    bit-identical to :func:`walk_to_packed` with ``walk="packed"`` on
+    ``generators[i]`` (see :func:`_run_swap_walks_packed`).  Walking the
+    block together widens every NumPy call of the walk by the block size,
+    which is what lets threads overlap blocks of swap draws.
+    """
+    from repro.fim.bitmap import PackedIndex, pack_bool_columns, unpack_rows_bool
+
+    walked = _run_swap_walks_packed(
+        _as_walk_matrix(base_rows, len(items)), num_swaps, generators
+    )
+    # Vectorized bit-matrix transpose per chain: transaction-major words ->
+    # bool incidence -> item-major vertical bitsets.
+    return [
+        PackedIndex(
+            pack_bool_columns(unpack_rows_bool(matrix, len(items))),
+            items,
+            num_transactions,
+            name=name,
+        )
+        for matrix in walked
+    ]
 
 
 def _uniform_index(variate: float, bits: int) -> int:

@@ -8,8 +8,10 @@ dominate the whole methodology (see ``docs/parallel.md``):
   process backend places each null model's heavy buffers in
   ``multiprocessing.shared_memory`` once per session and ships only a token
   plus a per-draw seed to persistent workers; the thread backend shares the
-  address space outright (the packed NumPy kernels release the GIL).  All
-  backends produce bit-identical results for every ``n_jobs``.
+  address space outright and overlaps tasks whose NumPy calls are wide
+  enough to release the GIL (packed swap draws reach it in blocks walked in
+  one pass).  All backends produce bit-identical results for every
+  ``n_jobs``.
 * **Adaptive budgets** (:mod:`repro.parallel.adaptive`): geometric
   ``Δ₀ → Δ_max`` schedules with confidence-interval stopping rules, so
   Algorithm 1 and Procedure 1 stop simulating as soon as their decision is

@@ -6,10 +6,15 @@ it Algorithm 1 and both procedures) funnels its draws through one
 :class:`Executor`.  Three backends ship:
 
 * :class:`SerialExecutor` — in-process loop; zero overhead, the default.
-* :class:`ThreadExecutor` — a thread pool.  The packed NumPy kernels release
-  the GIL inside their ``bitwise_and``/``bitwise_count`` sweeps, so threads
-  overlap real work on multi-core hosts with *no serialization at all* (the
-  model and the result arrays are shared by reference).
+* :class:`ThreadExecutor` — a thread pool with *no serialization at all*
+  (the model and the result arrays are shared by reference).  Threads
+  overlap tasks on multi-core hosts as far as the tasks' NumPy calls run on
+  arrays wide enough for NumPy to release the GIL (loops over about 500
+  elements): the packed counting sweeps are, one swap-walk chain's rounds
+  are not — so the estimator hands swap draws to the pool in blocks whose
+  chains one task walks together (see :mod:`repro.data.swap`).  Workers
+  start round-robin over the process's CPUs, so they run apart even where
+  the OS never balances load.
 * :class:`ProcessExecutor` — a process pool with the zero-copy protocol of
   :mod:`repro.parallel.shm`: the null model's heavy buffers are placed in
   ``multiprocessing.shared_memory`` once per session (``register``), and each
@@ -17,17 +22,21 @@ it Algorithm 1 and both procedures) funnels its draws through one
   generator.  Models the shm codec does not understand fall back to per-draw
   pickling (the pre-zero-copy behaviour), so custom nulls keep working.
 
-All backends submit one task per draw and yield results in submission order,
-so — together with the per-draw spawned child generators upstream — results
-are bit-identical across every backend and every ``n_jobs``.
+All backends submit one task per work unit — a draw, or a block of draws
+whose child generators travel together as a tuple — and yield results in
+submission order, so — together with the per-draw spawned child generators
+upstream — results are bit-identical across every backend and every
+``n_jobs``.  Retries, fault-plan indices and cancellation polls count these
+tasks (blocks, for the estimator's packed swap draws).
 
 Fault tolerance: every draw is a pure function of ``(model, draw index)``
-through its own child generator, so each attempt at a draw runs on a clone
-of the generator's *initial* state — retries, worker-crash re-execution and
-speculative straggler rescheduling are all bit-identical to a fault-free
-run.  The process backend recovers from ``BrokenProcessPool`` out of the
-box (rebuilding the pool, re-validating the shared-memory exports, and
-re-running only the draws without a harvested result); pass a
+through its own child generator, so each attempt at a task runs on a clone
+of the *initial* state of its generator (of every generator of a block) —
+retries, worker-crash re-execution and speculative straggler rescheduling
+are all bit-identical to a fault-free run.  The process backend recovers
+from ``BrokenProcessPool`` out of the box (rebuilding the pool,
+re-validating the shared-memory exports, and re-running only the draws
+without a harvested result); pass a
 :class:`~repro.parallel.faults.RetryPolicy` to tune the retry budget and
 backoff, or ``retry_policy=None`` for the raw fail-fast behaviour.  The
 serial and thread backends accept the same surface (default: no retries,
@@ -46,6 +55,8 @@ is exactly the PR-3 process path, kept as the benchmark baseline.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
+import os
 import time
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -85,16 +96,20 @@ EXECUTOR_NAMES = ("serial", "thread", "process")
 ExecutorSpec = Union[str, "Executor", concurrent.futures.Executor, None]
 
 
-def _clone_rng(bit_generator_type, state) -> np.random.Generator:
-    """A fresh generator at a saved bit-generator state.
+def _clone_rng(rng):
+    """A fresh copy of a task's generator, or of every generator of a block.
 
-    Every execution attempt of a draw starts from the state its child
-    generator was spawned with, never from a state a failed attempt may
-    have advanced in-place (thread/serial backends share address space).
+    ``rng`` is one :class:`numpy.random.Generator` or a tuple of them (a
+    block of draws).  Every execution attempt of a task starts from the
+    state its child generators were spawned with, never from a state a
+    failed attempt may have advanced in-place (thread/serial backends share
+    address space).
     """
-    bit_generator = bit_generator_type()
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
+    if isinstance(rng, np.random.Generator):
+        bit_generator = type(rng.bit_generator)()
+        bit_generator.state = rng.bit_generator.state
+        return np.random.Generator(bit_generator)
+    return tuple(_clone_rng(generator) for generator in rng)
 
 
 class Executor:
@@ -102,10 +117,11 @@ class Executor:
 
     Subclasses implement :meth:`map_draws`; everything else (context
     management, idempotent close) is shared.  ``task`` must be a picklable
-    module-level callable invoked as ``task(model, *args, rng)``; a task
-    with a truthy ``needs_draw_index`` attribute is instead invoked as
-    ``task(model, *args, rng, draw)`` — the opt-in for indexed work units
-    such as per-shard counting (see
+    module-level callable invoked as ``task(model, *args, rng)``, where
+    ``rng`` is one generator or a tuple of them (a block of draws the task
+    samples together); a task with a truthy ``needs_draw_index`` attribute
+    is instead invoked as ``task(model, *args, rng, draw)`` — the opt-in for
+    indexed work units such as per-shard counting (see
     :func:`repro.parallel.faults.call_task`).
     """
 
@@ -138,7 +154,7 @@ class Executor:
         task,
         model: object,
         args: Sequence,
-        rngs: Iterable[np.random.Generator],
+        rngs: Iterable[Union[np.random.Generator, tuple]],
         cancel=None,
     ) -> Iterator:
         """Yield ``task(model, *args, rng)`` for each rng, in order.
@@ -168,14 +184,13 @@ class Executor:
 
 
 def _run_draw_with_retries(task, model, args, rng, draw, policy, plan):
-    """Execute one draw inline, honouring the retry policy and fault plan."""
-    bit_generator_type = type(rng.bit_generator)
-    state = rng.bit_generator.state
+    """Execute one task inline, honouring the retry policy and fault plan."""
+    pristine = _clone_rng(rng)
     failures = 0
     attempt = 0
     while True:
         try:
-            clone = _clone_rng(bit_generator_type, state)
+            clone = _clone_rng(pristine)
             return perform_draw(task, model, args, clone, draw, attempt, plan)
         except Exception as error:
             if policy is None:
@@ -210,12 +225,11 @@ class SerialExecutor(Executor):
 
 
 class _DrawState:
-    """Bookkeeping for one draw inside a pool ``map_draws`` pass."""
+    """Bookkeeping for one task inside a pool ``map_draws`` pass."""
 
     __slots__ = (
         "index",
-        "bit_generator_type",
-        "state",
+        "rng",
         "attempt",
         "failures",
         "future",
@@ -223,10 +237,9 @@ class _DrawState:
         "harvested",
     )
 
-    def __init__(self, index: int, rng: np.random.Generator) -> None:
+    def __init__(self, index: int, rng) -> None:
         self.index = index
-        self.bit_generator_type = type(rng.bit_generator)
-        self.state = rng.bit_generator.state
+        self.rng = _clone_rng(rng)  # pristine initial state, never run
         self.attempt = 0  # submission ordinal (grows on every re-submission)
         self.failures = 0  # task failures/timeouts counted against the policy
         self.future: Optional[concurrent.futures.Future] = None
@@ -288,7 +301,7 @@ class _PoolExecutor(Executor):
         stale_crashes = 0
 
         def submit(entry: _DrawState) -> None:
-            rng = _clone_rng(entry.bit_generator_type, entry.state)
+            rng = _clone_rng(entry.rng)
             entry.future = self._submit(
                 self._pool, task, model, args, rng, entry.index, entry.attempt
             )
@@ -387,20 +400,52 @@ class _PoolExecutor(Executor):
 class ThreadExecutor(_PoolExecutor):
     """Thread-pool backend: shared address space, zero serialization.
 
-    The packed kernels spend their time in NumPy ufunc sweeps that release
-    the GIL, so threads overlap real work on multi-core hosts; on a single
-    core this backend degrades to serial speed (still no pickling).  Since
-    the swap null's packed walk (``repro.data.swap``, ``walk="packed"``)
-    replaced the GIL-bound int-bitset loop, this applies to *every* shipped
-    null model — swap draws parallelize here too.
+    Threads overlap real work on multi-core hosts while a task's NumPy
+    calls run on arrays wide enough for NumPy to release the GIL.  The
+    packed counting sweeps are that wide.  One chain of the packed swap
+    walk is not — its rounds decide a few hundred proposals each, and the
+    Python dispatch between them holds the GIL — so swap draws overlap here
+    because each task walks a block of chains in one pass
+    (:meth:`~repro.core.null_models.SwapRandomizationNull.sample_packed_block`;
+    large matrices walk wide rounds already and keep one draw per task).
+    The python swap walk stays GIL-bound.  Each new worker starts on the
+    next CPU of the process's CPU set, round-robin (:func:`_start_on_next_cpu`),
+    so threads run apart even where the OS never balances them.  On a
+    single core this backend degrades to serial speed (still no pickling).
     """
 
     kind = "thread"
 
     def _make_pool(self) -> concurrent.futures.Executor:
-        return concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.n_jobs, thread_name_prefix="repro-draw"
+        cpus = (
+            tuple(sorted(os.sched_getaffinity(0)))
+            if hasattr(os, "sched_getaffinity")
+            else ()
         )
+        spread = len(cpus) > 1 and self.n_jobs > 1
+        return concurrent.futures.ThreadPoolExecutor(
+            max_workers=self.n_jobs,
+            thread_name_prefix="repro-draw",
+            initializer=_start_on_next_cpu if spread else None,
+            initargs=(cpus, itertools.count()) if spread else (),
+        )
+
+
+def _start_on_next_cpu(cpus: tuple[int, ...], ordinal: Iterator[int]) -> None:
+    """Move a new pool worker to the next CPU of ``cpus``, round-robin.
+
+    A new thread starts on the CPU of the thread that spawned it.  On a host
+    whose scheduler does not balance load across CPUs (e.g. a cpuset with
+    ``sched_load_balance`` off) all workers would stay on that one CPU and
+    never overlap.  The worker is pinned to its CPU only long enough to
+    move there; the full set is restored at once, so the OS stays free to
+    migrate it later.
+    """
+    try:
+        os.sched_setaffinity(0, {cpus[next(ordinal) % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # pragma: no cover - affinity changes refused
+        pass
 
 
 def _run_tokenized(task, token: ModelToken, args: tuple, rng, draw):

@@ -15,8 +15,10 @@ a statistical acceptance harness:
   produce bit-identical matrices for *any* chunking, including fully
   sequential (chunk = 1) — the property that makes it exactly the
   one-swap-at-a-time chain;
+* block invariance: a block of chains walked in one pass must equal, chain
+  for chain, the single-chain walks on the same generators;
 * RNG-stream contracts: per-seed reproducibility of the packed walk across
-  every executor backend and ``n_jobs``.
+  every executor backend, ``n_jobs`` and draw-block size.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.data.swap import (
     WALK_NAMES,
     _nth_set_bit,
     _run_swap_walk_packed,
+    _run_swap_walks_packed,
     _select_set_bits,
     resolve_walk,
     swap_randomize,
@@ -190,6 +193,51 @@ class TestWalkProperties:
             finally:
                 swap_module._MIN_CHUNK, swap_module._MAX_CHUNK = bounds
 
+    def test_packed_walk_block_matches_single_chain_walks(self, rng):
+        """B chains walked in one pass are B single-chain walks, bit for bit.
+
+        Each chain owns its own row block of the stacked matrix, so the
+        interleaved first-toucher replay must run every chain's own
+        sequential chain — at the default chunk bounds and fully sequential
+        (chunk = 1) alike.  Sparse trials leave empty (ineligible) rows.
+        """
+        bounds = (swap_module._MIN_CHUNK, swap_module._MAX_CHUNK)
+        for trial in range(6):
+            num_transactions = int(rng.integers(2, 30))
+            num_items = int(rng.integers(2, 150))
+            density = float(rng.uniform(0.02, 0.5))
+            incidence = rng.random((num_transactions, num_items)) < density
+            rows = [
+                int.from_bytes(
+                    np.packbits(row, bitorder="little").tobytes(), "little"
+                )
+                for row in incidence
+            ]
+            matrix = pack_int_bitsets(rows, num_items)
+            num_swaps = int(rng.integers(0, 300))
+            for num_chains in (1, 2, 3):
+                seeds = [int(seed) for seed in rng.integers(1_000_000, size=num_chains)]
+                singles = [
+                    _run_swap_walk_packed(
+                        matrix, num_swaps, np.random.default_rng(seed)
+                    )
+                    for seed in seeds
+                ]
+                try:
+                    for low, high in (bounds, (1, 1)):
+                        swap_module._MIN_CHUNK = low
+                        swap_module._MAX_CHUNK = high
+                        block = _run_swap_walks_packed(
+                            matrix,
+                            num_swaps,
+                            [np.random.default_rng(seed) for seed in seeds],
+                        )
+                        assert block.shape == (num_chains,) + matrix.shape
+                        for chain, single in enumerate(singles):
+                            np.testing.assert_array_equal(block[chain], single)
+                finally:
+                    swap_module._MIN_CHUNK, swap_module._MAX_CHUNK = bounds
+
 
 # ----------------------------------------------------------------------
 # Item-bit selection: integer draws, no float rounding
@@ -297,6 +345,60 @@ class TestExecutorStreamContract:
             sets, matrix = profiles(executor, n_jobs)
             assert sets == baseline_sets, executor
             np.testing.assert_array_equal(matrix, baseline_profiles, executor)
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_blocked_draws_match_one_draw_per_task(
+        self, planted, executor, monkeypatch
+    ):
+        """Draw blocks change tasks, never draws: same union and profiles.
+
+        Δ = 13 splits into blocks of 5, 5 and a ragged 3; forcing the block
+        constant to 1 sends one draw per task, the pre-block schedule.
+        """
+        from repro.core import lambda_estimation
+        from repro.core.lambda_estimation import MonteCarloNullEstimator
+
+        def estimate():
+            return MonteCarloNullEstimator(
+                SwapRandomizationNull(planted, walk="packed"),
+                k=2,
+                num_datasets=13,
+                mining_support=1,
+                rng=11,
+                executor=executor,
+                n_jobs=2,
+            )
+
+        blocked = estimate()
+        assert blocked._draw_block_size(13) == 5
+        monkeypatch.setattr(lambda_estimation, "_MAX_DRAW_BLOCK", 1)
+        single = estimate()
+        assert single._draw_block_size(13) == 1
+        assert blocked.union_itemsets == single.union_itemsets
+        assert blocked._itemsets == single._itemsets
+        np.testing.assert_array_equal(blocked._profiles, single._profiles)
+
+    def test_block_size_follows_the_stacking_budget(self, planted, monkeypatch):
+        """Blocks stack the matrix only while the stack fits the byte budget.
+
+        A matrix too large to stack twice walks one draw per task, exactly
+        as the python walk always does.
+        """
+        from repro.core.lambda_estimation import MonteCarloNullEstimator
+
+        model = SwapRandomizationNull(planted, walk="packed")
+        matrix_bytes = model._walk_base().nbytes
+        assert model.block_draws == swap_module._BLOCK_BYTES // matrix_bytes
+        assert SwapRandomizationNull(planted, walk="python").block_draws == 1
+        estimator = MonteCarloNullEstimator(
+            model, k=2, num_datasets=1, mining_support=1, rng=0
+        )
+        monkeypatch.setattr(swap_module, "_BLOCK_BYTES", 2 * matrix_bytes)
+        assert model.block_draws == 2
+        assert estimator._draw_block_size(13) == 2  # six blocks of 2, then 1
+        monkeypatch.setattr(swap_module, "_BLOCK_BYTES", 2 * matrix_bytes - 1)
+        assert model.block_draws == 1
+        assert estimator._draw_block_size(13) == 1
 
 
 # ----------------------------------------------------------------------

@@ -441,3 +441,75 @@ class TestDrawIndexOptIn:
                 compat.map_draws(_indexed_task, 5, (0,), self._rngs(3))
             )
         assert results == [5, 6, 7]
+
+
+def _wait_for_all_workers(model, barrier, rng):
+    barrier.wait(timeout=10)
+    return True
+
+
+class TestThreadPlacement:
+    """Thread workers start spread over the CPUs the process may use.
+
+    A new thread starts on its spawner's CPU; where the OS never balances
+    load across CPUs, unplaced workers would all share one.  Each worker is
+    moved to the next CPU round-robin, and its full CPU set is restored at
+    once (the OS stays free to migrate it).  Recorded with fake affinity
+    calls, so the check is the same on every host.
+    """
+
+    def test_workers_start_round_robin_and_keep_the_full_set(self, monkeypatch):
+        import threading
+
+        from repro.parallel import executors
+
+        calls = []
+        lock = threading.Lock()
+
+        def record(pid, cpus):
+            with lock:
+                calls.append((threading.get_ident(), frozenset(cpus)))
+
+        monkeypatch.setattr(
+            executors.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        monkeypatch.setattr(executors.os, "sched_setaffinity", record, raising=False)
+        barrier = threading.Barrier(3)
+        with ThreadExecutor(n_jobs=3) as executor:
+            results = list(
+                executor.map_draws(
+                    _wait_for_all_workers,
+                    None,
+                    (barrier,),
+                    np.random.default_rng(0).spawn(3),
+                )
+            )
+        assert results == [True, True, True]
+        per_worker = {}
+        for ident, cpus in calls:
+            per_worker.setdefault(ident, []).append(cpus)
+        assert len(per_worker) == 3
+        firsts = sorted(min(sets[0]) for sets in per_worker.values())
+        assert firsts == [0, 1, 2]
+        for sets in per_worker.values():
+            assert len(sets[0]) == 1  # moved to one CPU ...
+            assert sets[1] == {0, 1, 2}  # ... then the full set restored
+
+    def test_single_job_pool_is_not_placed(self, monkeypatch):
+        from repro.parallel import executors
+
+        calls = []
+        monkeypatch.setattr(
+            executors.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        monkeypatch.setattr(
+            executors.os,
+            "sched_setaffinity",
+            lambda pid, cpus: calls.append(cpus),
+            raising=False,
+        )
+        with ThreadExecutor(n_jobs=1) as executor:
+            assert list(
+                executor.map_draws(_plain_task, 1, (2,), [np.random.default_rng(0)])
+            ) == [3]
+        assert calls == []

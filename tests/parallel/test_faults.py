@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.lambda_estimation import MonteCarloNullEstimator
-from repro.core.null_models import BernoulliNull
+from repro.core.null_models import BernoulliNull, SwapRandomizationNull
 from repro.core.poisson_threshold import (
     PoissonThresholdResult,
     find_poisson_threshold,
@@ -63,6 +63,18 @@ def _sample_support(model, rng):
 def _collect(executor, model, num_draws, seed=0):
     rngs = np.random.default_rng(seed).spawn(num_draws)
     return list(executor.map_draws(_sample_support, model, (), rngs))
+
+
+def _draw_block_then_fail_once(model, failed, rngs, draw):
+    """Consume every generator of a block, then fail the block's first run."""
+    values = [int(rng.integers(2**62)) for rng in rngs]
+    if draw not in failed:
+        failed.add(draw)
+        raise RuntimeError(f"transient failure after consuming block {draw}")
+    return values
+
+
+_draw_block_then_fail_once.needs_draw_index = True
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +203,33 @@ class TestRetries:
         with slow:
             assert _collect(slow, model, 6) == baseline
 
+    @pytest.mark.parametrize("executor_kind", ["serial", "thread"])
+    def test_retry_restarts_every_generator_of_a_block(self, executor_kind):
+        """A retried block reruns all its generators from their initial state.
+
+        The task advances every generator of its block before failing, so a
+        retry that reused any advanced generator would draw other values.
+        """
+
+        def blocks():
+            children = np.random.default_rng(3).spawn(6)
+            return [tuple(children[start : start + 3]) for start in (0, 3)]
+
+        expected = [[int(rng.integers(2**62)) for rng in block] for block in blocks()]
+        policy = RetryPolicy(max_retries=1)
+        executor = (
+            SerialExecutor(retry_policy=policy)
+            if executor_kind == "serial"
+            else ThreadExecutor(n_jobs=2, retry_policy=policy)
+        )
+        with executor:
+            got = list(
+                executor.map_draws(
+                    _draw_block_then_fail_once, None, (set(),), blocks()
+                )
+            )
+        assert got == expected
+
 
 # ----------------------------------------------------------------------
 # Process-pool chaos: SIGKILL recovery and graceful degradation
@@ -293,6 +332,61 @@ class TestDegradedEstimator:
             MonteCarloNullEstimator(
                 model, 2, num_datasets=6, mining_support=2, rng=0, executor=faulty
             )
+
+    # The swap null under the packed walk hands each task a block of draws,
+    # so fault-plan indices, retries and degraded prefixes count blocks:
+    # Δ = 10 runs as two blocks of 5 draws.
+    @pytest.mark.parametrize(
+        "make_executor",
+        [
+            lambda **kw: SerialExecutor(**kw),
+            lambda **kw: ThreadExecutor(n_jobs=2, **kw),
+            lambda **kw: ProcessExecutor(n_jobs=2, **kw),
+        ],
+        ids=["serial", "thread", "process"],
+    )
+    def test_swap_null_transient_fault_recovers_identically(
+        self, dataset, make_executor
+    ):
+        model = SwapRandomizationNull(dataset, walk="packed")
+        clean = MonteCarloNullEstimator(
+            model, 2, num_datasets=10, mining_support=2, rng=0
+        )
+        faulty = make_executor(
+            retry_policy=RetryPolicy(max_retries=1),
+            fault_plan=FaultPlan().fail_draw(0).fail_draw(1),
+        )
+        with faulty:
+            recovered = MonteCarloNullEstimator(
+                model, 2, num_datasets=10, mining_support=2, rng=0, executor=faulty
+            )
+        assert not recovered.degraded
+        assert recovered._itemsets == clean._itemsets
+        np.testing.assert_array_equal(recovered._profiles, clean._profiles)
+
+    def test_swap_null_degraded_prefix_is_the_leading_draws(self, dataset):
+        model = SwapRandomizationNull(dataset, walk="packed")
+        faulty = SerialExecutor(
+            retry_policy=RetryPolicy(max_retries=1),
+            fault_plan=FaultPlan().fail_draw(1, attempt=None),
+        )
+        with faulty:
+            degraded = MonteCarloNullEstimator(
+                model, 2, num_datasets=10, mining_support=2, rng=0, executor=faulty
+            )
+        assert degraded.degraded
+        assert degraded.num_datasets == 5  # block 0 survives, block 1 is lost
+        clean = MonteCarloNullEstimator(
+            model, 2, num_datasets=10, mining_support=2, rng=0
+        )
+        assert degraded.num_datasets < clean.num_datasets
+        # The prefix is the fault-free run's leading draws, itemset for itemset.
+        for itemset in clean.union_itemsets:
+            np.testing.assert_array_equal(
+                degraded.support_profile(itemset),
+                clean.support_profile(itemset)[:5],
+            )
+        assert set(degraded.union_itemsets) <= set(clean.union_itemsets)
 
     def test_degraded_flag_survives_state_round_trip(self, dataset):
         model = BernoulliNull.from_dataset(dataset)
